@@ -12,11 +12,14 @@
 # sweep over multi-tier fabrics (goodput and top-tier ingress bytes at
 # 1/2/3 tiers, partition-invariance pinned), bench-churn the four
 # production-churn timelines (crash/failover, re-election, hot-key
-# churn, rolling reconfig) scored against SLOs.
+# churn, rolling reconfig) scored against SLOs. perfbench-tiny runs
+# every benchmark workload at test size with its correctness checks
+# (the benchmark is its own module, so `go test ./...` at the root
+# skips it); fuzz-smoke gives each native fuzz target ten seconds.
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race bench bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke examples clean
+.PHONY: all tier1 tier2 race bench bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke perfbench-tiny fuzz-smoke examples clean
 
 all: tier1
 
@@ -63,6 +66,14 @@ bench-churn:
 
 bench-churn-smoke:
 	$(GO) run ./cmd/nclbench -churn -smoke -out BENCH_churn_smoke.json
+
+perfbench-tiny:
+	cd perfbench && $(GO) test ./...
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSimOrder$$' -fuzztime=10s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime=10s ./internal/runtime
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackIntoRaw$$' -fuzztime=10s ./internal/runtime
 
 examples:
 	$(GO) run ./examples/quickstart

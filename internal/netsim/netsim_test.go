@@ -51,7 +51,7 @@ func TestEventHorizonAndBudget(t *testing.T) {
 
 // TestHeapStressOrdering drains a large adversarial schedule — mixed
 // delays, many ties, events scheduling more events — and checks the
-// 4-ary heap pops in nondecreasing (time, seq) order and tracks its
+// radix queue pops in nondecreasing time order and tracks its
 // high-water mark.
 func TestHeapStressOrdering(t *testing.T) {
 	var s Sim

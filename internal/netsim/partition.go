@@ -240,8 +240,8 @@ func (n *Network) RunParallel(until Time) error {
 		// Global next-event time.
 		t := Time(math.Inf(1))
 		for _, p := range n.parts {
-			if len(p.sim.q) > 0 && p.sim.q[0].at < t {
-				t = p.sim.q[0].at
+			if at, ok := p.sim.peek(); ok && at < t {
+				t = at
 			}
 		}
 		if math.IsInf(float64(t), 1) || (until > 0 && t > until) {
@@ -257,8 +257,8 @@ func (n *Network) RunParallel(until Time) error {
 		}
 		wg.Wait()
 		// Barrier: drain mailboxes in fixed (destination, source,
-		// append) order so cross-partition events get deterministic
-		// local scheduling numbers.
+		// append) order so cross-partition events get a deterministic
+		// local scheduling order.
 		for di, dst := range n.parts {
 			for _, src := range n.parts {
 				box := src.outbox[di]
@@ -266,7 +266,7 @@ func (n *Network) RunParallel(until Time) error {
 					if box[i].at < wEnd && !math.IsInf(float64(wEnd), 1) {
 						return fmt.Errorf("netsim: lookahead violation: cross event at %v before window end %v", box[i].at, wEnd)
 					}
-					dst.sim.postAbs(box[i])
+					dst.sim.push(box[i])
 				}
 				src.outbox[di] = box[:0]
 			}

@@ -260,7 +260,7 @@ func TestPartitionedChaosHashChain(t *testing.T) {
 // TestSteadyStateAllocsPerEvent pins ≈0 allocations per event on the
 // schedule→pop→dispatch packet path (send, transmit, device pipeline,
 // deliver): buffers are pooled, events are closure-free values in the
-// heap slice. Skipped under -race (the instrumentation allocates),
+// queue's slab. Skipped under -race (the instrumentation allocates),
 // like TestCompiledBurstAllocs.
 func TestSteadyStateAllocsPerEvent(t *testing.T) {
 	if raceEnabled {
@@ -272,7 +272,7 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm pools, heap slice, deparse buffers.
+	// Warm pools, queue storage, deparse buffers.
 	for i := 0; i < 16; i++ {
 		h.Send(msg)
 	}
