@@ -1,8 +1,9 @@
 # NetCL build and test entry points.
 #
-# tier1 is the fast correctness gate (vet + build + test); tier2 and
-# race run the race detector over the concurrent code (sharded engine,
-# UDP backend, drivers, chaos tests); bench emits the interpreter
+# tier1 is the fast correctness gate (gofmt + vet + build + test; it
+# fails when `gofmt -l .` lists any file); tier2 and race run the race
+# detector over the concurrent code (sharded engine, UDP backend,
+# drivers, chaos tests); bench emits the interpreter
 # hot-path measurement, bench-reliability the goodput-under-loss one,
 # bench-loadgen the shard-count sweep of the flow-parallel data plane,
 # bench-host the window sweep of the pipelined host channel plus the
@@ -18,12 +19,14 @@
 # skips it); fuzz-smoke gives each native fuzz target ten seconds.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all tier1 tier2 race bench bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke perfbench-tiny fuzz-smoke examples clean
 
 all: tier1
 
 tier1:
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 tier2: race

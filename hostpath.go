@@ -18,7 +18,7 @@ type HostpathPoint = apps.HostpathResult
 
 // HostpathReport is the host-path pipeline benchmark.
 type HostpathReport struct {
-	Ops    int             `json:"ops"`
+	Ops    int              `json:"ops"`
 	Points []*HostpathPoint `json:"points"`
 	// AllocsPerMsg is steady-state heap allocations per message on the
 	// channel send path (pooled pack + post + complete).

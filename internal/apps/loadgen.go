@@ -73,11 +73,11 @@ type LoadgenResult struct {
 	PPS        float64 `json:"pkts_per_sec"`
 	// PeakInFlight is the highest concurrent in-flight count observed
 	// when Window > 0 bounds the submitters.
-	PeakInFlight int `json:"peak_in_flight,omitempty"`
-	P50Ns      float64 `json:"p50_ns"`
-	P90Ns      float64 `json:"p90_ns"`
-	P99Ns      float64 `json:"p99_ns"`
-	MaxNs      float64 `json:"max_ns"`
+	PeakInFlight int     `json:"peak_in_flight,omitempty"`
+	P50Ns        float64 `json:"p50_ns"`
+	P90Ns        float64 `json:"p90_ns"`
+	P99Ns        float64 `json:"p99_ns"`
+	MaxNs        float64 `json:"max_ns"`
 	// VerifiedFlows/Mismatches report the per-flow determinism check.
 	VerifiedFlows int `json:"verified_flows"`
 	Mismatches    int `json:"mismatches"`

@@ -46,15 +46,15 @@ const (
 // Op is one batch operation. All fields are exported so a batch
 // gob-encodes as-is onto the p4rt wire.
 type Op struct {
-	Kind  OpKind
-	Table string     // OpInsert/OpModify/OpDelete/OpSetDefault
-	Entry *p4.Entry  // OpInsert/OpModify
-	Keys  []uint64   // OpDelete: full key tuple
-	Reg   string     // OpRegisterWrite
-	Idx   int        // OpRegisterWrite
-	Val   uint64     // OpRegisterWrite
+	Kind   OpKind
+	Table  string    // OpInsert/OpModify/OpDelete/OpSetDefault
+	Entry  *p4.Entry // OpInsert/OpModify
+	Keys   []uint64  // OpDelete: full key tuple
+	Reg    string    // OpRegisterWrite
+	Idx    int       // OpRegisterWrite
+	Val    uint64    // OpRegisterWrite
 	Action string    // OpSetDefault
-	Args  []uint64   // OpSetDefault
+	Args   []uint64  // OpSetDefault
 }
 
 // regCell identifies one register cell for write-combining.
@@ -331,9 +331,9 @@ type staging struct {
 // instead of a heap-allocated closure; on failure the log replays in
 // reverse.
 const (
-	uInsert = iota // unInsert(idx, k)
-	uDelete        // unDelete(rm)
-	uDefault       // t.Default = old
+	uInsert  = iota // unInsert(idx, k)
+	uDelete         // unDelete(rm)
+	uDefault        // t.Default = old
 )
 
 // undoRec reverses one applied op on rollback.

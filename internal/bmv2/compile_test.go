@@ -195,7 +195,7 @@ func TestTernaryPriorityOrdering(t *testing.T) {
 		entry("set_out", 2, 1, p4.KeyValue{Value: 0x12, Mask: 0xFF}),
 		// A priority past 2^30 used to underflow the old sentinel and
 		// lose to "nothing matched"; it must still beat a miss.
-		entry("set_out", 3, 1 << 31, p4.KeyValue{Value: 0x80, Mask: 0xFF}),
+		entry("set_out", 3, 1<<31, p4.KeyValue{Value: 0x80, Mask: 0xFF}),
 	}}
 	sw := New(matcherProg(ents))
 	check := func(k1 uint32, want uint32) {

@@ -27,15 +27,12 @@ type Network struct {
 	links     linkSlab
 	devs      []*Device
 	faults    *faults
-	// topo is the fabric last built on this network (nil when wired by
-	// hand); SetPartitions uses its locality order to cut partitions
-	// along rack/pod boundaries.
-	topo *Topo
 
 	// serial is the execution context of unpartitioned runs and
-	// doubles as partition 0 when partitions are armed.
+	// doubles as LP 0 when partitions are armed.
 	serial    part
-	parts     []*part // nil or len 1 means serial execution
+	parts     []*part // logical processes; nil means serial execution
+	workers   int     // RunParallel's worker count, ≤ len(parts)
 	pmode     bool    // partitioned semantics armed (see SetPartitions)
 	lookahead Time
 

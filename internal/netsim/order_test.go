@@ -309,24 +309,24 @@ func FuzzSimOrder(f *testing.F) {
 	})
 }
 
-// TestPartitionedMailboxIntoGap: cross-partition arrivals land at the
-// barrier below the destination partition's next pending event (its
-// own hosts only start 40µs in), both from the first windows and after
-// a Run(until) stop followed by fresh posts. The partitioned run must
-// still hash-chain-match the serial one.
+// TestPartitionedMailboxIntoGap: cross-LP arrivals land at the barrier
+// below the destination LP's next pending event (its own hosts only
+// start 40µs in), both from the first windows and after a Run(until)
+// stop followed by fresh posts. The partitioned run must still
+// hash-chain-match the serial one.
 func TestPartitionedMailboxIntoGap(t *testing.T) {
 	const late = 40 * Microsecond
 	run := func(k int) (chainRun, Time) {
-		n, _ := chainNet(t, 3)
+		n, _ := chainNet(t, 4, 3)
 		n.EnableTrace()
 		if k > 0 {
 			if err := n.SetPartitions(k); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Devices 1-2 (partition 0 at k=2) start at once; devices 3-4
-		// (partition 1) wait, so early arrivals from device 2 sit below
-		// partition 1's pending timers.
+		// Devices 1-2 start at once; devices 3-4 wait, so early
+		// arrivals from device 2 sit below the pending timers of the
+		// LPs that own devices 3-4.
 		firstRecv := Time(math.Inf(1))
 		for i := int32(0); i < n.hs.count; i++ {
 			h := n.hs.at(i)
@@ -337,9 +337,11 @@ func TestPartitionedMailboxIntoGap(t *testing.T) {
 			}
 			h.StartTimer(start)
 		}
-		if k == 2 {
-			if at, ok := n.parts[1].sim.peek(); !ok || at < late {
-				t.Fatalf("partition 1 pending from %v, want >= %v", at, late)
+		if k >= 2 {
+			for _, d := range n.devs[2:] {
+				if at, ok := n.parts[d.part].sim.peek(); !ok || at < late {
+					t.Fatalf("k=%d: LP %d of device %d pending from %v, want >= %v", k, d.part, d.ID, at, late)
+				}
 			}
 		}
 		if err := n.Run(10 * Microsecond); err != nil {
@@ -363,7 +365,7 @@ func TestPartitionedMailboxIntoGap(t *testing.T) {
 	if serial.delivered == 0 || first >= late {
 		t.Fatalf("scenario premise: delivered %d, first late-side arrival at %v (want < %v)", serial.delivered, first, late)
 	}
-	for _, k := range []int{1, 2} {
+	for _, k := range []int{1, 2, 4} {
 		if got, _ := run(k); got != serial {
 			t.Errorf("k=%d diverged from serial: %+v vs %+v", k, got, serial)
 		}

@@ -3,97 +3,101 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
+	"sync/atomic"
 )
 
-// Partitioned conservative-lookahead execution (CMB-style): the
-// topology is cut into device-contiguous partitions, each owning its
-// own event queue, clock, buffer pool and counters. Time advances in
-// global windows [t, t+L) where t is the earliest pending event
-// anywhere and L is the minimum latency of any cross-partition link.
-// Within a window every partition runs independently (its events
-// cannot affect another partition earlier than t+L, because the only
-// cross-partition influence is a packet that must traverse a cross
-// link: arrival ≥ send time + L ≥ t + L). Cross-partition transmits
-// land in per-destination mailboxes and are enqueued at the barrier,
-// in fixed (source, append) order, stamped with times the invariant
-// guarantees are at or beyond the next window's start.
+// Partitioned conservative-lookahead execution (CMB-style). The
+// network is split into logical processes (LPs): each device with its
+// attached hosts is one LP, except that devices joined by a link
+// without positive latency share one. Every LP owns its own event
+// queue, clock, buffer pool and counters. Time advances in global
+// windows [t, t+L) where t is the earliest pending event anywhere and
+// L is the minimum latency of any link between LPs. Within a window
+// every LP runs independently (its events cannot affect another LP
+// earlier than t+L, because the only cross-LP influence is a packet
+// that must traverse a cross link: arrival ≥ send time + L ≥ t + L).
+// k persistent workers share the LPs: each window they claim LPs in id
+// order from one cursor, so no worker idles behind a fixed block of
+// devices while the load moves across the topology. Cross-LP
+// transmits land in per-destination mailboxes and are enqueued at the
+// barrier, in fixed (source, append) order, stamped with times the
+// invariant guarantees are at or beyond the next window's start; which
+// worker ran an LP never shows in the result.
 
-// part is one partition's execution context. The network's built-in
-// serial context is a part too (id 0, sim = &n.Sim), so the dispatch
-// path is identical with and without partitioning.
+// part is one logical process's execution context. The network's
+// built-in serial context is a part too (id 0, sim = &n.Sim), so the
+// dispatch path is identical with and without partitioning.
 type part struct {
 	n      *Network
 	id     int32
 	sim    *Sim
 	pool   bufPool
 	ctr    *netCounters
-	outbox [][]event // mailboxes, indexed by destination partition
+	outbox [][]event // mailboxes, indexed by destination LP
 }
 
-// SetPartitions cuts the topology into k device-contiguous partitions
-// (devices sorted by id, split into balanced blocks; hosts follow
-// their device). Call it after the topology is built and before
-// scheduling scenario events: pending events stay on partition 0.
+// SetPartitions arms partitioned execution with k workers. Every
+// device becomes its own logical process (LP) with the hosts attached
+// to it; devices joined by a link with no positive latency are merged
+// into one LP, since such a link leaves no lookahead window between
+// them. k is clamped to the LP count; k ≤ 1, or a network that forms a
+// single LP, runs serially. Call it after the topology is built and
+// before scheduling scenario events: pending events stay on LP 0.
 //
 // Any call — including k=1 — switches the network to partitioned
 // semantics permanently: per-(link,direction) fault streams and
 // traversal counters, so fault patterns and hash chains are
-// comparable across partition counts. Networks that never call
+// comparable across worker counts. Networks that never call
 // SetPartitions keep the original serial behavior bit for bit.
-//
-// k is clamped to the device count. An error is reported when a
-// cross-partition link has no positive latency (the lookahead window
-// would be empty).
 func (n *Network) SetPartitions(k int) error {
 	n.pmode = true
-	if k > len(n.devs) {
-		k = len(n.devs)
+	n.parts = nil
+	for i := range n.hc.part {
+		n.hc.part[i] = 0
+	}
+	for _, d := range n.devs {
+		d.part = 0
 	}
 	if k <= 1 {
-		n.parts = nil
-		for i := range n.hc.part {
-			n.hc.part[i] = 0
-		}
-		for _, d := range n.devs {
-			d.part = 0
-		}
 		return nil
 	}
 
-	// Cut the device sequence into k balanced contiguous blocks. With a
-	// fabric attached, the sequence is the topology's locality order
-	// (chain position, leaves-then-spines, pod-major fat-tree), so the
-	// cuts fall between racks/pods instead of slicing through them by
-	// device-id accident; devices wired outside the fabric follow in id
-	// order. Hand-wired networks keep the historical id-order split.
-	var order []*Device
-	if n.topo != nil && len(n.topo.locality) > 0 {
-		order = append(order, n.topo.locality...)
-		inFab := map[*Device]bool{}
-		for _, d := range order {
-			inFab[d] = true
-		}
-		var rest []*Device
-		for _, d := range n.devs {
-			if !inFab[d] {
-				rest = append(rest, d)
-			}
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
-		order = append(order, rest...)
-	} else {
-		order = append(order, n.devs...)
-		sort.Slice(order, func(i, j int) bool { return order[i].ID < order[j].ID })
+	// Union-find over zero-latency device links, rooted at the lowest
+	// device index, so LP ids follow device creation order.
+	root := make([]int32, len(n.devs))
+	for i := range root {
+		root[i] = int32(i)
 	}
-	for i, d := range order {
-		d.part = int32(i * k / len(order))
+	find := func(i int32) int32 {
+		for root[i] != i {
+			root[i] = root[root[i]]
+			i = root[i]
+		}
+		return i
+	}
+	for i := int32(0); i < n.links.count; i++ {
+		l := n.links.at(i)
+		if l.LatencyNs <= 0 && l.ends[0].isDevice() && l.ends[1].isDevice() {
+			a, b := find(l.ends[0].deviceIdx()), find(l.ends[1].deviceIdx())
+			root[max(a, b)] = min(a, b)
+		}
+	}
+	lps := int32(0)
+	for i, d := range n.devs {
+		if r := find(int32(i)); r == int32(i) {
+			d.part = lps
+			lps++
+		} else {
+			d.part = n.devs[r].part
+		}
+	}
+	if lps <= 1 {
+		return nil
 	}
 	// Hosts follow the device they attach to (unattached hosts stay on
-	// partition 0 — they generate no events anyway).
+	// LP 0 — they generate no events anyway).
 	for i := range n.hc.part {
-		n.hc.part[i] = 0
 		if li := n.hc.link[i]; li != 0 {
 			peer := n.links.at(li - 1).ends[1]
 			if peer.isDevice() {
@@ -102,7 +106,7 @@ func (n *Network) SetPartitions(k int) error {
 		}
 	}
 
-	// Lookahead = min latency over cross-partition links.
+	// Lookahead = min latency over cross-LP links.
 	n.lookahead = Time(math.Inf(1))
 	for i := int32(0); i < n.links.count; i++ {
 		l := n.links.at(i)
@@ -111,19 +115,20 @@ func (n *Network) SetPartitions(k int) error {
 			continue
 		}
 		if l.LatencyNs <= 0 {
-			return fmt.Errorf("netsim: cross-partition link %d has latency %v; conservative lookahead needs > 0", i, l.LatencyNs)
+			return fmt.Errorf("netsim: link %d joins two logical processes with latency %v; conservative lookahead needs > 0", i, l.LatencyNs)
 		}
 		if l.LatencyNs < n.lookahead {
 			n.lookahead = l.LatencyNs
 		}
 	}
 
-	n.parts = make([]*part, k)
+	n.workers = min(k, int(lps))
+	n.parts = make([]*part, lps)
 	n.serial.id = 0
-	n.serial.outbox = make([][]event, k)
+	n.serial.outbox = make([][]event, lps)
 	n.parts[0] = &n.serial
-	for i := 1; i < k; i++ {
-		p := &part{n: n, id: int32(i), sim: &Sim{}, ctr: &netCounters{}, outbox: make([][]event, k)}
+	for i := int32(1); i < lps; i++ {
+		p := &part{n: n, id: i, sim: &Sim{}, ctr: &netCounters{}, outbox: make([][]event, lps)}
 		p.sim.exec = func(e *event) { p.dispatch(e) }
 		p.sim.now = n.Sim.now
 		n.parts[i] = p
@@ -131,7 +136,7 @@ func (n *Network) SetPartitions(k int) error {
 	return nil
 }
 
-// endPart returns the partition a link end belongs to.
+// endPart returns the LP a link end belongs to.
 func (n *Network) endPart(e end) int32 {
 	if e.isDevice() {
 		return n.devs[e.deviceIdx()].part
@@ -140,7 +145,7 @@ func (n *Network) endPart(e end) int32 {
 }
 
 // Lookahead reports the conservative-lookahead window width (0 when
-// unpartitioned, +Inf when no link crosses partitions).
+// unpartitioned, +Inf when no link crosses LPs).
 func (n *Network) Lookahead() Time {
 	if len(n.parts) <= 1 {
 		return 0
@@ -148,19 +153,20 @@ func (n *Network) Lookahead() Time {
 	return n.lookahead
 }
 
-// Partitions reports the active partition count (1 when serial).
+// Partitions reports the active worker count: SetPartitions' k clamped
+// to the LP count (1 when serial).
 func (n *Network) Partitions() int {
 	if len(n.parts) == 0 {
 		return 1
 	}
-	return len(n.parts)
+	return n.workers
 }
 
 // PrewarmBuffers stocks the packet-buffer pools with count buffers of
-// the given byte capacity, split evenly across partitions. Call it
-// after SetPartitions (each partition owns its own pool): a run whose
-// in-flight working set stays under the prewarmed count allocates no
-// packet buffers at all.
+// the given byte capacity, split evenly across LPs. Call it after
+// SetPartitions (each LP owns its own pool): a run whose in-flight
+// working set stays under the prewarmed count allocates no packet
+// buffers at all.
 func (n *Network) PrewarmBuffers(count, size int) {
 	ps := n.parts
 	if len(ps) == 0 {
@@ -172,8 +178,8 @@ func (n *Network) PrewarmBuffers(count, size int) {
 	}
 }
 
-// BufferPeak sums the per-partition high-water marks of checked-out
-// packet buffers: the run's buffer working set.
+// BufferPeak sums the per-LP high-water marks of checked-out packet
+// buffers: the run's buffer working set.
 func (n *Network) BufferPeak() int {
 	if len(n.parts) == 0 {
 		return n.serial.pool.peak
@@ -185,7 +191,7 @@ func (n *Network) BufferPeak() int {
 	return t
 }
 
-// TotalProcessed sums executed events across all partitions.
+// TotalProcessed sums executed events across all LPs.
 func (n *Network) TotalProcessed() uint64 {
 	if len(n.parts) == 0 {
 		return n.Sim.Processed
@@ -197,8 +203,8 @@ func (n *Network) TotalProcessed() uint64 {
 	return t
 }
 
-// TotalPeakQueue sums the per-partition pending-event high-water
-// marks: the aggregate queue footprint of a run.
+// TotalPeakQueue sums the per-LP pending-event high-water marks: the
+// aggregate queue footprint of a run.
 func (n *Network) TotalPeakQueue() int {
 	if len(n.parts) == 0 {
 		return n.Sim.PeakQueue
@@ -228,14 +234,42 @@ func (n *Network) RunAll() error { return n.Run(0) }
 
 // RunParallel executes the partitioned simulation in conservative-
 // lookahead windows until every queue is drained or the horizon is
-// reached. One goroutine per partition per window; on a single-CPU
-// box the rounds serialize and the win is memory locality only (the
-// standing ROADMAP note — record GOMAXPROCS when benchmarking).
+// reached. It starts its workers once per call and keeps them across
+// windows: each window the coordinator hands every worker one token,
+// the workers claim LPs in id order from a shared cursor until none is
+// left, and a WaitGroup reused every window is the barrier. On a
+// single-CPU box the workers serialize and the win is memory locality
+// only (record GOMAXPROCS when benchmarking).
 func (n *Network) RunParallel(until Time) error {
 	if len(n.parts) <= 1 {
 		return n.Run(until)
 	}
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int32
+		wEnd Time
+	)
+	tokens := make(chan struct{}, n.workers)
+	for w := 0; w < n.workers; w++ {
+		go func() {
+			for range tokens {
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(n.parts) {
+						break
+					}
+					n.parts[i].sim.runWindow(wEnd, until)
+				}
+				wg.Done()
+			}
+			wg.Done() // exited; the deferred Wait below counts exits
+		}()
+	}
+	defer func() {
+		wg.Add(n.workers)
+		close(tokens)
+		wg.Wait()
+	}()
 	for {
 		// Global next-event time.
 		t := Time(math.Inf(1))
@@ -247,18 +281,16 @@ func (n *Network) RunParallel(until Time) error {
 		if math.IsInf(float64(t), 1) || (until > 0 && t > until) {
 			break
 		}
-		wEnd := t + n.lookahead
-		for _, p := range n.parts {
-			wg.Add(1)
-			go func(p *part) {
-				defer wg.Done()
-				p.sim.runWindow(wEnd, until)
-			}(p)
+		wEnd = t + n.lookahead
+		next.Store(0)
+		wg.Add(n.workers)
+		for w := 0; w < n.workers; w++ {
+			tokens <- struct{}{}
 		}
 		wg.Wait()
 		// Barrier: drain mailboxes in fixed (destination, source,
-		// append) order so cross-partition events get a deterministic
-		// local scheduling order.
+		// append) order so cross-LP events get a deterministic local
+		// scheduling order.
 		for di, dst := range n.parts {
 			for _, src := range n.parts {
 				box := src.outbox[di]
@@ -276,7 +308,7 @@ func (n *Network) RunParallel(until Time) error {
 		}
 	}
 	// Land every clock on a common time: the horizon, or the furthest
-	// partition when running to drain.
+	// LP when running to drain.
 	endT := until
 	for _, p := range n.parts {
 		if p.sim.now > endT {
@@ -292,8 +324,8 @@ func (n *Network) RunParallel(until Time) error {
 	return nil
 }
 
-// foldParallel folds per-partition counters and per-direction link
-// counters into the public aggregate fields.
+// foldParallel folds per-LP counters and per-direction link counters
+// into the public aggregate fields.
 func (n *Network) foldParallel() {
 	for _, p := range n.parts {
 		if p.ctr != &n.netCounters {

@@ -110,16 +110,15 @@ func TestAutoWireDeterministic(t *testing.T) {
 	}
 }
 
-// chainNet builds a 4-device chain, hostsPerDev hosts each, every host
-// loaded with msgs echo requests aimed at the device (k+1) hops down
+// chainNet builds a chain of devices, hostsPerDev hosts each, every
+// host loaded with msgs echo requests aimed at the next device down
 // the chain. Returns the network plus the per-host pending queues;
 // timers drive the open-loop send schedule (closure-free, partition-
 // safe). Start times and intervals are staggered per host so no two
 // packets ever tie on a shared link — the determinism precondition for
 // comparing partition counts.
-func chainNet(t *testing.T, hostsPerDev int) (*Network, [][][]byte) {
+func chainNet(t *testing.T, devices, hostsPerDev int) (*Network, [][][]byte) {
 	t.Helper()
-	const devices = 4
 	n := NewNetwork()
 	var devs []*Device
 	for dv := 0; dv < devices; dv++ {
@@ -136,7 +135,7 @@ func chainNet(t *testing.T, hostsPerDev int) (*Network, [][][]byte) {
 	var hosts []*Host
 	for dv := 0; dv < devices; dv++ {
 		for k := 0; k < hostsPerDev; k++ {
-			h := n.AddHost(uint16(10 + dv*hostsPerDev + k))
+			h := n.AddHost(uint16(100 + dv*hostsPerDev + k)) // clear of device ids
 			n.Connect(h, devs[dv], 1+k)
 			hosts = append(hosts, h)
 		}
@@ -187,7 +186,7 @@ type chainRun struct {
 // touch SetPartitions: the legacy serial regime).
 func runChain(t *testing.T, k int, faults FaultConfig) chainRun {
 	t.Helper()
-	n, _ := chainNet(t, 3)
+	n, _ := chainNet(t, 4, 3)
 	n.EnableTrace()
 	if faults.Active() {
 		n.InjectFaults(faults)
@@ -302,7 +301,7 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 // the admin-down drop count.
 func runChainChurn(t *testing.T, k int, faults FaultConfig) (chainRun, uint64) {
 	t.Helper()
-	n, _ := chainNet(t, 3)
+	n, _ := chainNet(t, 4, 3)
 	n.EnableTrace()
 	if faults.Active() {
 		n.InjectFaults(faults)

@@ -67,7 +67,7 @@ func (t *Topo) RerouteBatches(opts RerouteOptions) ([]DeviceBatch, error) {
 
 	// Alive fabric devices in ascending-id order (the path graph is the
 	// topo's own devices, matching InstallRoutes).
-	alive := make([]*Device, 0, len(t.locality))
+	var alive []*Device
 	for _, d := range t.Devices() {
 		if !dead[d] {
 			alive = append(alive, d)

@@ -60,25 +60,10 @@ type Topo struct {
 	up       []fabLink
 	portTo   map[[2]int32]int // (from idx, to idx) → egress port on from
 	nextPort map[int32]int    // device idx → next free port
-	// locality orders the fabric's devices so that physically adjacent
-	// switches (a chain hop, a pod's edges and aggs) are neighbors in
-	// the sequence: the order SetPartitions cuts into contiguous blocks,
-	// so partition boundaries fall between racks/pods instead of
-	// slicing through them by device-id accident.
-	locality []*Device
 }
 
 func newTopo(n *Network) *Topo {
-	t := &Topo{n: n, portTo: map[[2]int32]int{}, nextPort: map[int32]int{}}
-	n.topo = t
-	return t
-}
-
-// add registers a fabric device in locality order.
-func (t *Topo) add(id uint16, prog *p4.Program) *Device {
-	d := t.n.AddDevice(id, prog)
-	t.locality = append(t.locality, d)
-	return d
+	return &Topo{n: n, portTo: map[[2]int32]int{}, nextPort: map[int32]int{}}
 }
 
 // Devices returns every fabric device, tier by tier.
@@ -177,7 +162,7 @@ func BuildChain(n *Network, spec ChainSpec) (*Topo, error) {
 	link := spec.Link.or(2*Microsecond, 100)
 	tier := make([]*Device, len(spec.IDs))
 	for i, id := range spec.IDs {
-		tier[i] = t.add(id, spec.Prog(i, id))
+		tier[i] = n.AddDevice(id, spec.Prog(i, id))
 	}
 	t.Tiers = [][]*Device{tier}
 	for i := 0; i+1 < len(tier); i++ {
@@ -211,11 +196,11 @@ func BuildLeafSpine(n *Network, spec LeafSpineSpec) (*Topo, error) {
 	fabric := spec.Fabric.or(2*Microsecond, 100)
 	leaves := make([]*Device, len(spec.LeafIDs))
 	for i, id := range spec.LeafIDs {
-		leaves[i] = t.add(id, spec.LeafProg(i, id))
+		leaves[i] = n.AddDevice(id, spec.LeafProg(i, id))
 	}
 	spines := make([]*Device, len(spec.SpineIDs))
 	for i, id := range spec.SpineIDs {
-		spines[i] = t.add(id, spec.SpineProg(i, id))
+		spines[i] = n.AddDevice(id, spec.SpineProg(i, id))
 	}
 	t.Tiers = [][]*Device{leaves, spines}
 	for _, lf := range leaves {
@@ -252,20 +237,18 @@ func BuildFatTree(n *Network, spec FatTreeSpec) (*Topo, error) {
 	fabric := spec.Fabric.or(2*Microsecond, 100)
 	core := spec.CoreLink.or(fabric.LatencyNs, fabric.BandwidthGbps)
 
-	// Creation order is pod-major (a pod's edges, then its aggs): the
-	// locality order partitioning cuts, keeping pods whole.
 	var edges, aggs []*Device
 	for p := 0; p < spec.Pods; p++ {
 		for i := 0; i < spec.EdgesPerPod; i++ {
-			edges = append(edges, t.add(spec.EdgeID(p, i), spec.Prog(spec.EdgeID(p, i))))
+			edges = append(edges, n.AddDevice(spec.EdgeID(p, i), spec.Prog(spec.EdgeID(p, i))))
 		}
 		for i := 0; i < spec.AggsPerPod; i++ {
-			aggs = append(aggs, t.add(spec.AggID(p, i), spec.Prog(spec.AggID(p, i))))
+			aggs = append(aggs, n.AddDevice(spec.AggID(p, i), spec.Prog(spec.AggID(p, i))))
 		}
 	}
 	cores := make([]*Device, len(spec.CoreIDs))
 	for i, id := range spec.CoreIDs {
-		cores[i] = t.add(id, spec.Prog(id))
+		cores[i] = n.AddDevice(id, spec.Prog(id))
 	}
 	t.Tiers = [][]*Device{edges, aggs, cores}
 	for p := 0; p < spec.Pods; p++ {

@@ -21,12 +21,12 @@ type LoadgenReport struct {
 	// GOMAXPROCS/NumCPU record the machine the sweep ran on: shard
 	// scaling is bounded by available cores, so a 1-CPU box serializes
 	// all shards and the sweep degenerates to overhead measurement.
-	GOMAXPROCS    int            `json:"gomaxprocs"`
-	NumCPU        int            `json:"num_cpu"`
-	Hosts         int            `json:"hosts"`
-	Pools         int            `json:"pools"`
-	PacketsPerFlow int           `json:"packets_per_flow"`
-	Points        []*LoadgenPoint `json:"points"`
+	GOMAXPROCS     int             `json:"gomaxprocs"`
+	NumCPU         int             `json:"num_cpu"`
+	Hosts          int             `json:"hosts"`
+	Pools          int             `json:"pools"`
+	PacketsPerFlow int             `json:"packets_per_flow"`
+	Points         []*LoadgenPoint `json:"points"`
 }
 
 // BenchLoadgen sweeps the sharded engine with a closed-loop many-pool

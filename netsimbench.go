@@ -18,9 +18,10 @@ type NetsimPoint = apps.NetsimResult
 
 // NetsimReport is the simulator scale benchmark.
 type NetsimReport struct {
-	// GOMAXPROCS/NumCPU record the machine: partitioned windows run one
-	// goroutine per partition, so on a 1-CPU box they serialize and the
-	// partition sweep measures engine overhead, not parallel speedup.
+	// GOMAXPROCS/NumCPU record the machine: partitioned windows run on
+	// one worker goroutine per partition, so on a 1-CPU box they
+	// serialize and the partition sweep measures engine overhead, not
+	// parallel speedup.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	Devices    int `json:"devices"`
